@@ -223,6 +223,9 @@ class ProfileReport:
     """Every recovery profile of a run plus per-mechanism aggregates."""
 
     profiles: List[RecoveryProfile] = field(default_factory=list)
+    #: Whether the profiled simulations recorded per-host link timelines
+    #: (``MetricsRegistry.link_telemetry``).
+    link_telemetry: bool = False
 
     def by_mechanism(self) -> Dict[str, List[RecoveryProfile]]:
         grouped: Dict[str, List[RecoveryProfile]] = {}
@@ -253,6 +256,7 @@ class ProfileReport:
     def to_dict(self) -> Dict[str, object]:
         return {
             "format": "sr3-profile-1",
+            "link_telemetry": self.link_telemetry,
             "recoveries": len(self.profiles),
             "aggregates": self.aggregates(),
             "profiles": [profile.to_dict() for profile in self.profiles],
@@ -293,10 +297,13 @@ def build_report(
     observed cost) to each star/line/tree profile whose root span carries
     a ``state_bytes`` attribute.
     """
+    tracers = _as_tracers(tracers)
     profiles = profile_tracers(tracers, include_saves=include_saves)
     if explain:
         _attach_explanations(profiles, cost_model=cost_model)
-    return ProfileReport(profiles=profiles)
+    # A simulator with a live tracer records its link timelines (see
+    # repro.sim.kernel), so every profiled run has them.
+    return ProfileReport(profiles=profiles, link_telemetry=bool(tracers))
 
 
 def write_profile(

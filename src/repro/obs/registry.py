@@ -81,6 +81,10 @@ class TimeSeries:
     def points(self) -> List[Tuple[float, float]]:
         return list(self._points)
 
+    def since(self, index: int) -> List[Tuple[float, float]]:
+        """The points from position ``index`` on (a reader's cursor)."""
+        return self._points[index:]
+
     def values(self) -> List[float]:
         return [v for _, v in self._points]
 
@@ -219,10 +223,19 @@ class MetricsRegistry:
 
     Accessors create on first use, so call sites never pre-register; a
     name is permanently bound to the first kind that claimed it.
+
+    ``link_telemetry`` is the collection level: while it is False the
+    network keeps only its cheap always-on metrics and skips the per-host
+    ``net.host.<name>.{up_util,down_util,flows}`` timelines. Their readers
+    switch it on: registry collection (:func:`default_registry`), an
+    attached :class:`~repro.obs.timeseries.TelemetryPipeline`, and a live
+    tracer on the simulator. Switch it on before the first flow starts —
+    the timelines begin at the first reallocation that sees it.
     """
 
     def __init__(self, name: str = "metrics") -> None:
         self.name = name
+        self.link_telemetry = False
         self._counters: Dict[str, Counter] = {}
         self._series: Dict[str, TimeSeries] = {}
         self._gauges: Dict[str, Gauge] = {}
@@ -271,6 +284,7 @@ class MetricsRegistry:
         """A deterministic, JSON-friendly snapshot of every metric."""
         return {
             "name": self.name,
+            "link_telemetry": self.link_telemetry,
             "counters": {
                 n: {"total": c.total, "labels": dict(sorted(c.labels().items()))}
                 for n, c in sorted(self._counters.items())
@@ -328,6 +342,7 @@ def default_registry(name: str = "sim") -> MetricsRegistry:
     if not _COLLECT_REGISTRIES:
         return MetricsRegistry(name)
     registry = MetricsRegistry(f"{name}-{len(_COLLECTED_REGISTRIES)}")
+    registry.link_telemetry = True
     _COLLECTED_REGISTRIES.append(registry)
     return registry
 

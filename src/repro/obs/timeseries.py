@@ -16,7 +16,9 @@ derives series from them —
 - every counter becomes a rate series (``<name>.rate``, delta/interval);
 - every gauge becomes a sampled level series (same name);
 - every registry :class:`~repro.obs.registry.TimeSeries` is mirrored
-  point-for-point (cursor-copied, so nothing is scanned twice);
+  point-for-point (cursor-copied, so nothing is scanned twice); attaching
+  a pipeline switches the registry's ``link_telemetry`` on, so the
+  network's per-host ``net.host.*`` timelines are among them;
 - every histogram that opted into timestamped observations
   (:meth:`~repro.obs.registry.Histogram.keep_observations`) yields
   windowed percentile series (``<name>.p50``, ``<name>.p99``, ...);
@@ -188,6 +190,9 @@ class TelemetryPipeline:
         self._last_sample: Optional[float] = None
         self._running = False
         self.samples = 0
+        # The pipeline mirrors every registry series, the per-host link
+        # timelines included: ask the network to record them.
+        sim.metrics.link_telemetry = True
 
     # ------------------------------------------------------------- buffers
 
@@ -246,12 +251,11 @@ class TelemetryPipeline:
             self._ensure(name, "gauge").append(now, gauges[name].value)
         all_series = registry.all_series()
         for name in sorted(all_series):
-            points = all_series[name].points
-            cursor = self._series_cursors.get(name, 0)
+            series = all_series[name]
             buf = self._ensure(name, "series")
-            for t, v in points[cursor:]:
+            for t, v in series.since(self._series_cursors.get(name, 0)):
                 buf.append(t, v)
-            self._series_cursors[name] = len(points)
+            self._series_cursors[name] = len(series)
         histograms = registry.histograms()
         for name in sorted(histograms):
             histogram = histograms[name]

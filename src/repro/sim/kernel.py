@@ -9,6 +9,9 @@ time.
 
 Scale fast paths (all exactly order-preserving):
 
+* Queue entries are ``(time, seq, event)`` tuples, so ``heapq`` and the
+  head comparisons below order them in C. ``seq`` is unique, so a
+  comparison never reaches the event itself.
 * ``pending`` is a live counter maintained on schedule/cancel/pop instead
   of an O(queue) scan — it sits on the ``run()`` epilogue and telemetry.
 * Zero-delay events (the network's coalesced "settle" events, completion
@@ -27,7 +30,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs.registry import MetricsRegistry, default_registry
@@ -53,9 +56,6 @@ class Event:
         # arriving after that must not touch the live-event counter.
         self.done = False
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:
         name = getattr(self.callback, "__name__", repr(self.callback))
         return f"Event(t={self.time:.6f}, {name}, cancelled={self.cancelled})"
@@ -70,8 +70,9 @@ class Simulator:
 
     def __init__(self, tracer=None, metrics: Optional[MetricsRegistry] = None) -> None:
         self._now = 0.0
-        self._queue: List[Event] = []
-        self._batch: deque = deque()  # zero-delay events, (time, seq)-sorted
+        self._queue: List[Tuple[float, int, Event]] = []
+        # Zero-delay entries, (time, seq)-sorted by construction.
+        self._batch: Deque[Tuple[float, int, Event]] = deque()
         self._seq = itertools.count()
         self._running = False
         self._processed = 0
@@ -84,6 +85,10 @@ class Simulator:
         self.tracer.bind_clock(lambda: self._now)
         self.metrics = metrics if metrics is not None else default_registry("sim")
         self.metrics.bind_clock(lambda: self._now)
+        if self.tracer.enabled:
+            # Tracing is on only when someone inspects the run (--trace,
+            # --profile, --baseline): record the link timelines for them.
+            self.metrics.link_telemetry = True
         # Opt-in firehose: emit one instant trace event per executed
         # callback. Off by default even with tracing on — event volume
         # dwarfs the spans the components themselves emit.
@@ -108,15 +113,17 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event = Event(self._now + delay, next(self._seq), callback, args)
+        time = self._now + delay
+        seq = next(self._seq)
+        event = Event(time, seq, callback, args)
         self._live += 1
         if delay == 0.0:
             # Same-instant events land behind every queued event at this
             # time (their seq is the largest so far), so a FIFO preserves
             # the (time, seq) order without heap churn.
-            self._batch.append(event)
+            self._batch.append((time, seq, event))
         else:
-            heapq.heappush(self._queue, event)
+            heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
@@ -137,54 +144,21 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Sweep cancelled events out of both queues (order-preserving)."""
-        for event in self._queue:
-            if event.cancelled:
-                event.done = True
-        for event in self._batch:
-            if event.cancelled:
-                event.done = True
-        self._queue = [e for e in self._queue if not e.cancelled]
-        heapq.heapify(self._queue)
-        self._batch = deque(e for e in self._batch if not e.cancelled)
-        self._cancelled_queued = 0
+        """Sweep cancelled events out of both queues (order-preserving).
 
-    def _pop_next(self) -> Optional[Event]:
-        """Remove and return the earliest queued event, skipping cancelled.
-
-        Returns None when both queues are drained. The zero-delay batch is
-        FIFO and the heap is (time, seq)-ordered; comparing their heads
-        yields the globally earliest event.
+        Mutates the queues in place: :meth:`run` holds references to them
+        across callbacks, and a callback's cancel can trigger this sweep.
         """
-        queue = self._queue
-        batch = self._batch
-        while queue or batch:
-            if batch and (not queue or batch[0] < queue[0]):
-                event = batch.popleft()
-            else:
-                event = heapq.heappop(queue)
-            if event.cancelled:
-                self._cancelled_queued -= 1
-                event.done = True
-                continue
-            return event
-        return None
-
-    def _peek_next(self) -> Optional[Event]:
-        """The earliest live queued event without removing it."""
-        queue = self._queue
-        batch = self._batch
-        while queue and queue[0].cancelled:
-            self._cancelled_queued -= 1
-            heapq.heappop(queue).done = True
-        while batch and batch[0].cancelled:
-            self._cancelled_queued -= 1
-            batch.popleft().done = True
-        if batch and (not queue or batch[0] < queue[0]):
-            return batch[0]
-        if queue:
-            return queue[0]
-        return None
+        for entries in (self._queue, self._batch):
+            for entry in entries:
+                if entry[2].cancelled:
+                    entry[2].done = True
+        self._queue[:] = [e for e in self._queue if not e[2].cancelled]
+        heapq.heapify(self._queue)
+        live = [e for e in self._batch if not e[2].cancelled]
+        self._batch.clear()
+        self._batch.extend(live)
+        self._cancelled_queued = 0
 
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> float:
         """Run events in order until the queue drains or ``until`` is reached.
@@ -196,18 +170,38 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         trace_events = self.trace_events and self.tracer.enabled
+        queue = self._queue
+        batch = self._batch
+        heappop = heapq.heappop
         try:
             executed = 0
             while True:
-                event = self._peek_next()
-                if event is None:
+                # The zero-delay batch is FIFO and the heap is (time,
+                # seq)-ordered; the smaller head is the globally earliest
+                # event. A cancelled head is dropped; a live one past
+                # ``until`` stays queued.
+                if batch and (not queue or batch[0] < queue[0]):
+                    entry = batch[0]
+                    from_batch = True
+                elif queue:
+                    entry = queue[0]
+                    from_batch = False
+                else:
                     if until is not None and until > self._now:
                         self._now = until
                     break
-                if until is not None and event.time > until:
+                event = entry[2]
+                if until is not None and entry[0] > until and not event.cancelled:
                     self._now = until
                     break
-                self._pop_next()
+                if from_batch:
+                    batch.popleft()
+                else:
+                    heappop(queue)
+                if event.cancelled:
+                    self._cancelled_queued -= 1
+                    event.done = True
+                    continue
                 if event.time < self._now - 1e-9:
                     raise SimulationError(
                         f"event queue corrupted: event at {event.time} < now {self._now}"

@@ -277,9 +277,6 @@ class Network:
         # VECTOR_DEACTIVATE. None when numpy is unavailable or the
         # population is small — the scalar loops below then run as-is.
         self._vec: Optional["flowvec.FlowTable"] = None
-        # Hosts with at least one live flow (endpoint refcounts) — the
-        # telemetry "involved" set without scanning every flow per sample.
-        self._active_refs: Dict[Host, int] = {}
         # Cached registry handles: these sit on per-byte/per-flow paths.
         self._flow_bytes_counter = sim.metrics.counter("net.flow_bytes")
         self._control_bytes_counter = sim.metrics.counter("net.control_bytes")
@@ -287,11 +284,14 @@ class Network:
         self._flows_completed_counter = sim.metrics.counter("net.flows_completed")
         self._flows_aborted_counter = sim.metrics.counter("net.flows_aborted")
         self._control_dropped_counter = sim.metrics.counter("net.control_dropped")
-        # Telemetry timelines: the per-link evidence behind blame
-        # attribution. Every max-min reallocation appends one point per
-        # involved host to its utilization/flow-count series, so the
-        # profiler can answer "was the bottleneck the provider's uplink or
-        # the replacement's downlink" post hoc.
+        # Always-on telemetry: one net.flows_active point per reallocation
+        # plus the two histograms (chaos invariants and benchmarks read
+        # them). The per-host timelines are recorded only while
+        # sim.metrics.link_telemetry is on, since sampling every touched
+        # host on every reallocation is a large share of a big cell's run
+        # time. Their readers are the --metrics-out dump and the telemetry
+        # pipeline (dashboard, SLO, anomaly detection); the recovery
+        # profiler reads spans, not these series.
         self._flows_active_series = sim.metrics.series("net.flows_active")
         self._queue_wait_hist = sim.metrics.histogram("net.flow_queue_wait")
         self._flow_stall_hist = sim.metrics.histogram("net.flow_stall_s")
@@ -500,8 +500,6 @@ class Network:
         self._members.setdefault(down_key, {})[flow] = None
         self._dirty_keys.add(up_key)
         self._dirty_keys.add(down_key)
-        self._active_refs[flow.src] = self._active_refs.get(flow.src, 0) + 1
-        self._active_refs[flow.dst] = self._active_refs.get(flow.dst, 0) + 1
         self._request_recompute()
 
     def abort_flow(self, flow: Flow) -> None:
@@ -768,12 +766,6 @@ class Network:
                 if not link:
                     del self._members[key]
             self._dirty_keys.add(key)
-        for host in (flow.src, flow.dst):
-            refs = self._active_refs.get(host, 0) - 1
-            if refs > 0:
-                self._active_refs[host] = refs
-            else:
-                self._active_refs.pop(host, None)
         # Their utilization may have just dropped to zero; make sure the
         # next telemetry sample closes out their timelines.
         self._telemetry_dirty.add(flow.src)
@@ -825,31 +817,28 @@ class Network:
         if not self._flows:
             dirty.clear()
             self._inf_rates = False
-            self._record_telemetry(set())
+            self._record_telemetry(())
             return
 
-        # Hosts whose allocation this pass may have changed — the only
-        # ones worth re-sampling. None means "every active host" (the
-        # full-solve paths re-rate everything).
-        touched_hosts: Optional[Set[Host]] = set()
+        # Flows this pass re-rated — their endpoints are the only hosts
+        # worth re-sampling. None means every live flow (a full solve).
+        affected: Optional[List[Flow]] = []
         if self.allocator == "global":
             dirty.clear()
             self._solve_full()
-            touched_hosts = None
+            affected = None
         elif dirty:
-            component = self._dirty_component()
+            half = (len(self._order_cache) + 1) // 2
+            component = self._dirty_component(half)
             dirty.clear()
-            if 2 * len(component) >= len(self._order_cache):
+            if len(component) >= half:
                 # Most flows are affected anyway — the restricted solve
                 # would walk the same links as the full one.
                 self._solve_full()
-                touched_hosts = None
+                affected = None
             elif component:
                 affected = self._ordered(component)
                 self._solve_component(affected)
-                for flow in affected:
-                    touched_hosts.add(flow.src)
-                    touched_hosts.add(flow.dst)
         # else: nothing touching the link graph changed (e.g. an abort of
         # a not-yet-admitted flow) — every rate is still valid.
 
@@ -878,7 +867,7 @@ class Network:
         if not math.isinf(next_completion):
             delay = max(0.0, next_completion - now)
             self._completion_event = self.sim.schedule(delay, self._on_completion_tick)
-        self._record_telemetry(touched_hosts)
+        self._record_telemetry(affected)
 
     def _solve_full(self) -> None:
         """Re-rate every live flow (full solve), scalar or vectorized."""
@@ -913,8 +902,13 @@ class Network:
         if vec is not None:
             vec.sync_rates(affected)
 
-    def _dirty_component(self) -> Set[Flow]:
-        """Flows connected to a dirty link through shared constraints."""
+    def _dirty_component(self, limit: int) -> Set[Flow]:
+        """Flows connected to a dirty link through shared constraints.
+
+        The walk stops once the component holds ``limit`` flows: the
+        caller solves every flow at that size, so the rest of the
+        component cannot change the outcome.
+        """
         component: Set[Flow] = set()
         members = self._members
         stack = [key for key in self._dirty_keys if key in members]
@@ -929,6 +923,8 @@ class Network:
                     if other not in seen and other in members:
                         seen.add(other)
                         stack.append(other)
+            if len(component) >= limit:
+                break
         return component
 
     def _waterfill(self, flows: List[Flow]) -> Dict[Flow, float]:
@@ -1035,18 +1031,24 @@ class Network:
         used = math.fsum(f.rate for f in flows if not math.isinf(f.rate))
         return min(1.0, used / capacity)
 
-    def _record_telemetry(self, touched: Optional[Set[Host]]) -> None:
+    def _record_telemetry(self, affected: Optional[List[Flow]]) -> None:
         """Sample per-host link utilization and flow counts after a reallocation.
 
-        Only hosts the reallocation could have moved (``touched``, plus
-        any whose last flow just left) are visited; ``None`` means every
-        active host (a full solve). Each series appends a point only when
-        the value changed, so the dumped timelines are identical whichever
-        superset of changed hosts was visited.
+        ``net.flows_active`` is always recorded; the per-host series only
+        while ``sim.metrics.link_telemetry`` is on. Only hosts the
+        reallocation could have moved (endpoints of the ``affected``
+        flows, plus any whose last flow just left) are visited; ``None``
+        means every live flow (a full solve). Each series appends a point
+        only when the value changed, so the dumped timelines are identical
+        whichever superset of changed hosts was visited.
         """
         now = self.sim.now
         self._flows_active_series.record(now, float(len(self._flows)))
-        involved = set(self._active_refs) if touched is None else set(touched)
+        if not self.sim.metrics.link_telemetry:
+            self._telemetry_dirty.clear()
+            return
+        flows = self._order_cache if affected is None else affected
+        involved = {f.src for f in flows} | {f.dst for f in flows}
         involved |= self._telemetry_dirty
         self._telemetry_dirty.clear()
         for host in sorted(involved, key=lambda h: h.name):

@@ -121,6 +121,7 @@ class TestCliIntegration:
         assert main(["fig9a", "--profile", str(path)]) == 0
         payload = json.loads(path.read_text())
         assert payload["format"] == "sr3-profile-1"
+        assert payload["link_telemetry"] is True  # tracing records the timelines
         assert payload["recoveries"] > 0
         for profile in payload["profiles"]:
             assert sum(profile["blame_fractions"].values()) == pytest.approx(1.0)
@@ -170,6 +171,7 @@ class TestCliIntegration:
         assert payload["registries"]
         first = payload["registries"][0]
         assert first["name"].startswith("sim-")
+        assert all(r["link_telemetry"] is True for r in payload["registries"])
         assert any(k.startswith("net.host.") for k in first["series"])
 
     def test_flamegraph_and_speedscope_flags(self, tmp_path, capsys):

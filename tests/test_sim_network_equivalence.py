@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.errors import NetworkError
+from repro.obs.timeseries import TelemetryPipeline
 from repro.obs.tracer import Tracer
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
@@ -118,6 +119,7 @@ class TestAllocatorEquivalence:
 
         def run(allocator):
             sim = Simulator()
+            TelemetryPipeline(sim)  # record the link timelines compared below
             net = Network(sim, allocator=allocator)
             a = net.add_host("a", up_bw=100.0, latency=0.0)
             b = net.add_host("b", down_bw=100.0, up_bw=80.0, latency=0.0)

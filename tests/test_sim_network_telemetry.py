@@ -1,15 +1,28 @@
-"""Per-host network telemetry: utilization timelines and queueing stats."""
+"""Per-host network telemetry: utilization timelines and queueing stats.
+
+The per-host timelines are recorded only while something reads them;
+these tests switch them on the way a user does, by attaching a
+:class:`TelemetryPipeline` to the simulator.
+"""
 
 import json
 
 import pytest
 
+from repro.obs.timeseries import TelemetryPipeline
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 
 
-def two_host_net(up_bw=100.0, down_bw=100.0):
+def observed_sim():
+    """A simulator whose link timelines have a reader attached."""
     sim = Simulator()
+    TelemetryPipeline(sim)
+    return sim
+
+
+def two_host_net(up_bw=100.0, down_bw=100.0):
+    sim = observed_sim()
     net = Network(sim)
     a = net.add_host("a", up_bw=up_bw, down_bw=down_bw, latency=0.0)
     b = net.add_host("b", up_bw=up_bw, down_bw=down_bw, latency=0.0)
@@ -42,7 +55,7 @@ class TestUtilizationSeries:
         assert 1.0 in sim.metrics.series("net.host.b.down_util").values()
 
     def test_unconstrained_hosts_record_zero(self):
-        sim = Simulator()
+        sim = observed_sim()
         net = Network(sim)
         a = net.add_host("a", latency=0.0)  # infinite bandwidth
         b = net.add_host("b", latency=0.0)
@@ -108,7 +121,7 @@ class TestDeterminism:
         import random
 
         rng = random.Random(seed)
-        sim = Simulator()
+        sim = observed_sim()
         net = Network(sim)
         hosts = [
             net.add_host(f"h{i}", up_bw=100.0, down_bw=100.0, latency=0.001)
